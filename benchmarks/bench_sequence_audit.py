@@ -7,19 +7,42 @@ report breach rate, legitimate-query overhead, and per-query cost.
 
 Expected shape: the bare size control is fully breached; audit and overlap
 control drive the breach rate to zero; audit costs the most per query.
+
+The history-growth lane times one audit check at several history lengths
+over 1500-record interval query sets, for :class:`SumAuditor` (record
+atoms) and for the dense record-vector reference kept in
+``tests/statdb/audit_oracle.py``.  Expected shape: the reference grows
+with the history (hundreds of ms per check by the 120th); the atom
+auditor stays around a millisecond.
 """
 
+import importlib.util
+import random
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.errors import PrivacyViolation
+from repro.errors import AuditRefusal, PrivacyViolation
 from repro.relational import Comparison, Table
-from repro.statdb import ProtectedStatDB, StatQuery, individual_tracker_attack
+from repro.statdb import (
+    ProtectedStatDB,
+    StatQuery,
+    SumAuditor,
+    individual_tracker_attack,
+)
 from repro.statdb.tracker import true_value
 
 N_ROWS = 120
 N_VICTIMS = 12
+
+HISTORY_RECORDS = 1500
+#: The checks (1st, 10th, ...) whose duration the history lane reports.
+HISTORY_POINTS = (1, 10, 60, 120)
+#: Shortest interval the lane poses, so the sets stay aggregate-sized.
+HISTORY_MIN_WIDTH = 100
+ORACLE_PATH = (Path(__file__).resolve().parents[1]
+               / "tests" / "statdb" / "audit_oracle.py")
 
 DEFENSES = {
     "size-only": dict(min_set_size=3, restrict_complement=False),
@@ -83,7 +106,51 @@ def collect_results(repeats=1):
             "legit_answered": legitimate_throughput(kwargs),
             "elapsed_s": round(best_elapsed, 4),
         }
-    return {"victims": N_VICTIMS, "records": N_ROWS, "defenses": defenses}
+    return {
+        "victims": N_VICTIMS,
+        "records": N_ROWS,
+        "defenses": defenses,
+        "history_growth": history_growth(),
+    }
+
+
+def oracle_auditor_class():
+    """The dense record-vector reference auditor, loaded from the tests."""
+    spec = importlib.util.spec_from_file_location("audit_oracle", ORACLE_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SumAuditor
+
+
+def history_check_ms(auditor_class, seed=0):
+    """Milliseconds of the checks numbered in :data:`HISTORY_POINTS`.
+
+    One auditor over :data:`HISTORY_RECORDS` records answers seeded
+    random intervals; a refused interval counts as a check too.
+    """
+    rng = random.Random(seed)
+    auditor = auditor_class(HISTORY_RECORDS)
+    timings = {}
+    for check in range(1, max(HISTORY_POINTS) + 1):
+        low = rng.randrange(HISTORY_RECORDS - HISTORY_MIN_WIDTH)
+        high = rng.randrange(low + HISTORY_MIN_WIDTH, HISTORY_RECORDS + 1)
+        start = time.perf_counter()
+        try:
+            auditor.check_and_record(range(low, high))
+        except AuditRefusal:
+            pass
+        if check in HISTORY_POINTS:
+            timings[check] = round((time.perf_counter() - start) * 1000.0, 3)
+    return timings
+
+
+def history_growth():
+    """Per-check ms by history length, atom auditor and dense oracle."""
+    return {
+        "records": HISTORY_RECORDS,
+        "atoms_ms": history_check_ms(SumAuditor),
+        "oracle_ms": history_check_ms(oracle_auditor_class()),
+    }
 
 
 def legitimate_throughput(defense_kwargs):
@@ -142,3 +209,16 @@ def test_breach_rates_and_report(benchmark, report):
     assert results["size+overlap"][0] == 0            # overlap stops it
     assert results["size+audit"][2] == 3              # legit queries survive
     assert results["size+overlap"][2] == 3
+
+
+def test_history_growth_report(report):
+    growth = history_growth()
+    report(
+        f"=== A3b: per-check audit cost by history "
+        f"({HISTORY_RECORDS}-record interval query sets) ===",
+        f"{'history':>8s} {'atoms ms':>10s} {'oracle ms':>10s}",
+    )
+    for check in HISTORY_POINTS:
+        report(f"{check:>8d} {growth['atoms_ms'][check]:>10.3f} "
+               f"{growth['oracle_ms'][check]:>10.3f}")
+    assert growth["atoms_ms"][120] < growth["oracle_ms"][120]

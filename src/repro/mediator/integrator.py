@@ -106,13 +106,14 @@ class ResultIntegrator:
         )
         kept = []
         kept_blooms = []
+        kept_sources = []  # the sources each kept row already merges
         removed = 0
         for row in rows:
             bloom = encoder.encode(row)
             duplicate_of = None
             for index, existing in enumerate(kept_blooms):
                 if (
-                    kept[index]["_source"] != row["_source"]
+                    row["_source"] not in kept_sources[index]
                     and existing.dice_similarity(bloom) >= self.dedup_threshold
                 ):
                     duplicate_of = index
@@ -120,8 +121,10 @@ class ResultIntegrator:
             if duplicate_of is None:
                 kept.append(dict(row))
                 kept_blooms.append(bloom)
+                kept_sources.append({row["_source"]})
             else:
                 removed += 1
+                kept_sources[duplicate_of].add(row["_source"])
                 merged = kept[duplicate_of]
                 for key, value in row.items():
                     if key == "_source":

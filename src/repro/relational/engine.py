@@ -15,6 +15,7 @@ spelled ``Aggregate('count', '*')``.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 from repro.errors import RelationalError
 from repro.relational.schema import Column, TableSchema
@@ -194,23 +195,40 @@ class SelectQuery:
         return f"SelectQuery({to_sql(self)!r})"
 
 
-def execute(query, source):
-    """Execute ``query`` against ``source`` (a Catalog or a Table)."""
-    from repro.relational.catalog import Catalog
+#: What :func:`select` returns: the scanned row dicts a query's WHERE
+#: admits, the scanned schema, and each kept row's position in the scan
+#: (for a query without a join, its index in the base table).
+Selection = namedtuple("Selection", "rows schema indices")
 
-    if isinstance(source, Catalog):
-        base = source.table(query.table)
-        right = source.table(query.join.right_table) if query.join else None
-    elif isinstance(source, Table):
-        base = source
-        if query.join is not None:
-            raise RelationalError("joins require a Catalog source")
-        right = None
+
+def select(query, source):
+    """Scan ``query``'s table (joined, if it has a join) and apply its WHERE.
+
+    A caller that needs the selected rows itself, and then the query's
+    result, hands the :class:`Selection` to :func:`execute`, which then
+    does not scan again.
+    """
+    rows, schema = _scan(*_tables(query, source), query.join)
+    where = query.where
+    kept, indices = [], []
+    for index, row in enumerate(rows):
+        if where.evaluate(row):
+            kept.append(row)
+            indices.append(index)
+    return Selection(kept, schema, indices)
+
+
+def execute(query, source, selection=None):
+    """Execute ``query`` against ``source`` (a Catalog or a Table).
+
+    ``selection`` is :func:`select`'s result for the same query and
+    source, when the caller already holds it.
+    """
+    if selection is None:
+        rows, schema = _scan(*_tables(query, source), query.join)
+        rows = [row for row in rows if query.where.evaluate(row)]
     else:
-        raise RelationalError(f"cannot execute against {type(source).__name__}")
-
-    rows, schema = _scan(base, right, query.join)
-    rows = [row for row in rows if query.where.evaluate(row)]
+        rows, schema = selection.rows, selection.schema
 
     if query.is_aggregate:
         result = _aggregate(query, rows, schema)
@@ -243,6 +261,23 @@ def _sort_nulls_last(rows, key, ascending):
 
 
 # -- executor internals -------------------------------------------------------
+
+
+def _tables(query, source):
+    """The base table and the join's right table (or None) of ``query``."""
+    from repro.relational.catalog import Catalog
+
+    if isinstance(source, Catalog):
+        base = source.table(query.table)
+        right = source.table(query.join.right_table) if query.join else None
+    elif isinstance(source, Table):
+        base = source
+        if query.join is not None:
+            raise RelationalError("joins require a Catalog source")
+        right = None
+    else:
+        raise RelationalError(f"cannot execute against {type(source).__name__}")
+    return base, right
 
 
 def _scan(base, right, join):

@@ -32,7 +32,7 @@ from repro.policy.model import DisclosureForm
 from repro.query.features import extract_features, features_with_budget
 from repro.query.language import piql_without_maxloss, to_piql
 from repro.query.model import PiqlQuery
-from repro.relational.engine import execute
+from repro.relational.engine import execute, select
 from repro.relational.table import Table
 from repro.source.clustering import QueryClusterer
 from repro.source.knowledge import PreservationKnowledgeBase
@@ -245,7 +245,7 @@ class RemoteSource:
             )
 
         with telemetry.span("source.sequence_defenses"):
-            self._sequence_defenses(query, techniques)
+            selection = self._sequence_defenses(query, techniques)
 
         with telemetry.span("source.loss_and_plan") as span:
             estimate = self.loss_estimator.estimate(
@@ -262,7 +262,7 @@ class RemoteSource:
                      selectivity=selectivity, strategy=plan.strategy)
 
         with telemetry.span("source.execute"):
-            result = execute(query, self.catalog)
+            result = execute(query, self.catalog, selection)
         with telemetry.span("source.techniques") as span:
             result, applied = self._apply_techniques(result, query, techniques)
             if self.output_mechanism is not None and query.is_aggregate:
@@ -426,10 +426,17 @@ class RemoteSource:
     # -- defenses and techniques ----------------------------------------------
 
     def _sequence_defenses(self, query, techniques):
+        """Run the aggregate defenses on ``query``'s query set.
+
+        Returns the query's :func:`select` result, which execution reuses
+        instead of scanning the table again, or ``None`` for a
+        non-aggregate query (no defenses, no scan).
+        """
         if not query.is_aggregate:
-            return
+            return None
         names = {t.name for t in techniques}
-        query_set = self._query_set(query)
+        selection = select(query, self.catalog)
+        query_set = selection.indices
         if not query_set:
             raise PrivacyViolation(f"{self.name}: empty query set")
         if "set-size-control" in names:
@@ -441,12 +448,7 @@ class RemoteSource:
         )
         if "audit-trail" in names and sums_private:
             self.auditor.check_and_record(query_set)
-
-    def _query_set(self, query):
-        return [
-            i for i, row in enumerate(self.table.rows_as_dicts())
-            if query.where.evaluate(row)
-        ]
+        return selection
 
     def _apply_techniques(self, result, query, techniques):
         applied = []

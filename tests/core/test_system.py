@@ -153,6 +153,30 @@ class TestRecordLevelIntegration:
         merged = [r for r in result.rows if "+" in r["_source"]]
         assert merged  # the shared patient is merged across sources
 
+    def test_dedup_never_merges_two_rows_of_one_source(self):
+        # LAB1 holds two patients named alice smith, HMO1 one.  HMO1's row
+        # absorbs one of them; the merged row is labelled "HMO1+LAB1",
+        # and the second LAB1 row must still stay a person of its own.
+        system = PrivateIye(linkage_attributes=("first", "last"))
+        system.load_policies(
+            POLICIES,
+            view_source={"hmo1_private": "HMO1", "lab1_private": "LAB1"},
+        )
+        system.add_relational_source("HMO1", hmo_table())
+        lab = lab_table()
+        ssn, _first, _last, age, hba1c = lab.rows[1]
+        lab.rows[1] = (ssn, "alice", "smith", age, hba1c)
+        system.add_relational_source("LAB1", lab)
+        result = system.query(
+            "SELECT //patient/first, //patient/last "
+            "WHERE //patient/first = 'alice' PURPOSE research",
+            requester="r1",
+        )
+        assert len(result.rows) == 2
+        assert result.duplicates_removed == 1
+        assert sorted(row["_source"] for row in result.rows) == [
+            "HMO1+LAB1", "LAB1"]
+
     def test_no_dedup_without_linkage_attributes(self):
         system = build_system(linkage=())
         result = system.query(

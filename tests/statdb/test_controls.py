@@ -1,5 +1,7 @@
 """Unit tests for set-size, overlap, and audit controls."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -111,6 +113,24 @@ class TestSumAuditor:
     def test_out_of_range_rejected(self):
         with pytest.raises(ReproError):
             SumAuditor(5).check_and_record([7])
+
+    def test_state_sized_by_atoms_not_records(self):
+        rng = random.Random(11)
+        auditor = SumAuditor(1500)
+        m = 120
+        for _ in range(m):
+            low = rng.randrange(1400)
+            high = rng.randrange(low + 100, 1501)
+            try:
+                auditor.check_and_record(range(low, high))
+            except AuditRefusal:
+                pass
+        assert len(auditor.answered) > m // 2
+        assert auditor.atom_count <= 2 * m + 1
+        assert all(len(row) == auditor.atom_count for row in auditor._basis)
+        # One fixed-size entry per answered query, not its query set.
+        assert all(len(entry) == 2 and all(isinstance(v, int) for v in entry)
+                   for entry in auditor.answered)
 
 
 @settings(max_examples=40, deadline=None)
