@@ -49,8 +49,8 @@ HERE = Path(__file__).resolve().parent
 
 #: Benches that export ``collect_results()`` — extend as benches adopt it.
 BENCHES = ("cache", "fanout", "figure1", "flow", "kernels",
-           "mediation_modes", "obs", "persistence", "sequence_audit",
-           "static_check", "validation")
+           "mediation_modes", "obs", "persistence", "private_dedup",
+           "sequence_audit", "static_check", "validation")
 
 #: Version of the trajectory-entry shape appended per sweep; bump when
 #: the entry layout changes so downstream tooling can branch on it.

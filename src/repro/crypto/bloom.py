@@ -14,6 +14,17 @@ from repro.errors import CryptoError
 from repro.crypto.keyed_hash import keyed_hash_int
 
 
+def dice(overlap, count_a, count_b):
+    """Dice coefficient of two bit sets from their popcounts (∈ [0, 1]).
+
+    ``overlap`` is the popcount of their intersection; two empty sets are
+    identical (1.0).
+    """
+    if count_a + count_b == 0:
+        return 1.0
+    return 2.0 * overlap / (count_a + count_b)
+
+
 class BloomFilter:
     """A fixed-size Bloom filter with ``num_hashes`` keyed hash functions.
 
@@ -36,10 +47,16 @@ class BloomFilter:
         for i in range(self.num_hashes):
             yield keyed_hash_int(f"{self.secret}:{i}", item) % self.size
 
+    def mask(self, item):
+        """The bits ``item`` sets, as an int (independent of ``bits``)."""
+        mask = 0
+        for position in self._positions(item):
+            mask |= 1 << position
+        return mask
+
     def add(self, item):
         """Insert ``item``."""
-        for position in self._positions(item):
-            self.bits |= 1 << position
+        self.bits |= self.mask(item)
 
     def add_all(self, items):
         """Insert every item of ``items``."""
@@ -56,11 +73,8 @@ class BloomFilter:
     def dice_similarity(self, other):
         """Dice coefficient of two filters' bit sets (∈ [0, 1])."""
         self._check_compatible(other)
-        a, b = self.count_bits(), other.count_bits()
-        if a + b == 0:
-            return 1.0
-        overlap = (self.bits & other.bits).bit_count()
-        return 2.0 * overlap / (a + b)
+        return dice((self.bits & other.bits).bit_count(),
+                    self.count_bits(), other.count_bits())
 
     def jaccard_similarity(self, other):
         """Jaccard coefficient of two filters' bit sets (∈ [0, 1])."""

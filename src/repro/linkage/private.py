@@ -6,6 +6,11 @@ Two flavours, matching the toolbox the paper's result integrator needs:
   identifying fields into a Bloom filter of field-tagged q-grams under a
   shared secret; the integrator compares filters by Dice similarity.  The
   integrator never sees plaintext identifiers, and tolerates typos.
+  A q-gram's bits depend only on the encoder's parameters, so each
+  encoder memoizes them (at most :data:`GRAM_MEMO_CAP` grams): a warm
+  ``encode`` ORs cached masks instead of computing one HMAC per gram per
+  hash function.  The memo holds plaintext grams; it lives and dies with
+  its encoder and is never exported.
 * **PSI linkage** (exact): the sources run private set intersection over
   keyed record digests, so only records present in both sides are revealed
   — to the sources, not the integrator.
@@ -20,6 +25,10 @@ from repro.crypto.bloom import BloomFilter
 from repro.crypto.keyed_hash import keyed_hash
 from repro.crypto.psi import private_set_intersection
 from repro.linkage.similarity import record_qgrams
+
+#: Most q-gram masks one encoder keeps; a full memo is emptied and refills.
+#: Person names over two or three fields use a few hundred distinct grams.
+GRAM_MEMO_CAP = 4096
 
 
 class BloomRecordEncoder:
@@ -37,12 +46,32 @@ class BloomRecordEncoder:
         self.num_hashes = num_hashes
         self.secret = secret
         self.ngram = ngram
+        self._hasher = BloomFilter(size, num_hashes, secret)
+        self._masks = {}  # field-tagged q-gram -> its bits
+
+    def values(self, record):
+        """The identifying values of ``record``; a missing one (absent or
+        ``None``) reads as ``""``."""
+        return ["" if record.get(field) is None else record[field]
+                for field in self.fields]
+
+    def identifies(self, record):
+        """Whether any identifying field of ``record`` holds non-blank text."""
+        return any(str(value).strip() for value in self.values(record))
 
     def encode(self, record):
         """Bloom-encode the identifying fields of ``record`` (a mapping)."""
-        values = [record.get(field, "") or "" for field in self.fields]
+        masks = self._masks
+        bits = 0
+        for gram in record_qgrams(self.values(record), self.ngram):
+            mask = masks.get(gram)
+            if mask is None:
+                if len(masks) >= GRAM_MEMO_CAP:
+                    masks.clear()
+                mask = masks[gram] = self._hasher.mask(gram)
+            bits |= mask
         bloom = BloomFilter(self.size, self.num_hashes, self.secret)
-        bloom.add_all(record_qgrams(values, self.ngram))
+        bloom.bits = bits
         return bloom
 
     def encode_all(self, records):

@@ -6,10 +6,19 @@ mediated names, merges the row sets, and removes cross-source duplicates —
 sources or the real world origins of the entities", so deduplication runs
 on Bloom encodings of the configured linkage attributes rather than
 plaintext identifiers.
+
+Dedup walks the rows in source order and merges each row into the first
+kept row whose filter reaches the Dice threshold and which merges no row
+of the same source yet.  A row with no identifying text is kept as its
+own row and never merged: empty fields encode only padding grams, which
+would make every two nameless rows look identical.  The integrator keeps
+one encoder per set of linkage fields present for its lifetime, so each
+encoder's q-gram memo stays warm across poses.
 """
 
 from __future__ import annotations
 
+from repro.crypto.bloom import dice
 from repro.errors import IntegrationError
 from repro.linkage.private import BloomRecordEncoder
 from repro.source.results import untag_results
@@ -48,6 +57,7 @@ class ResultIntegrator:
         self.linkage_attributes = list(linkage_attributes)
         self.dedup_threshold = dedup_threshold
         self.bloom_secret = bloom_secret
+        self._encoders = {}  # linkage fields present -> encoder
 
     def integrate(self, responses, plan, is_aggregate):
         """Merge ``responses`` (source → SourceResponse).
@@ -95,40 +105,47 @@ class ResultIntegrator:
 
     def _private_dedup(self, rows):
         """Cross-source Bloom dedup on the linkage attributes."""
-        fields = [
+        fields = tuple(
             f for f in self.linkage_attributes
             if any(f in row for row in rows)
-        ]
+        )
         if not fields:
             return rows, 0
-        encoder = BloomRecordEncoder(
-            fields, size=512, num_hashes=4, secret=self.bloom_secret
-        )
+        encoder = self._encoder(fields)
+        threshold = self.dedup_threshold
         kept = []
-        kept_blooms = []
-        kept_sources = []  # the sources each kept row already merges
+        candidates = []  # (bits, popcount, sources merged, kept row)
         removed = 0
         for row in rows:
-            bloom = encoder.encode(row)
-            duplicate_of = None
-            for index, existing in enumerate(kept_blooms):
-                if (
-                    row["_source"] not in kept_sources[index]
-                    and existing.dice_similarity(bloom) >= self.dedup_threshold
-                ):
-                    duplicate_of = index
-                    break
-            if duplicate_of is None:
+            if not encoder.identifies(row):
                 kept.append(dict(row))
-                kept_blooms.append(bloom)
-                kept_sources.append({row["_source"]})
+                continue
+            bits = encoder.encode(row).bits
+            count = bits.bit_count()
+            source = row["_source"]
+            for kept_bits, kept_count, sources, merged in candidates:
+                if source not in sources and dice(
+                    (kept_bits & bits).bit_count(), kept_count, count
+                ) >= threshold:
+                    break
             else:
-                removed += 1
-                kept_sources[duplicate_of].add(row["_source"])
-                merged = kept[duplicate_of]
-                for key, value in row.items():
-                    if key == "_source":
-                        merged["_source"] = f"{merged['_source']}+{value}"
-                    elif merged.get(key) in (None, "") and value not in (None, ""):
-                        merged[key] = value
+                merged = dict(row)
+                kept.append(merged)
+                candidates.append((bits, count, {source}, merged))
+                continue
+            removed += 1
+            sources.add(source)
+            for key, value in row.items():
+                if key == "_source":
+                    merged["_source"] = f"{merged['_source']}+{value}"
+                elif merged.get(key) in (None, "") and value not in (None, ""):
+                    merged[key] = value
         return kept, removed
+
+    def _encoder(self, fields):
+        encoder = self._encoders.get(fields)
+        if encoder is None:
+            encoder = self._encoders[fields] = BloomRecordEncoder(
+                fields, size=512, num_hashes=4, secret=self.bloom_secret
+            )
+        return encoder

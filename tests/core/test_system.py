@@ -177,6 +177,35 @@ class TestRecordLevelIntegration:
         assert sorted(row["_source"] for row in result.rows) == [
             "HMO1+LAB1", "LAB1"]
 
+    def test_rows_without_identifiers_never_merge(self):
+        # HMO1's age-30 patient and LAB1's age-25 patient have no name on
+        # file.  Two nameless rows must not read as one person.
+        hmo = hmo_table()
+        ssn, _first, _last, age, hba1c, hmo_name = hmo.rows[0]
+        hmo.rows[0] = (ssn, None, None, age, hba1c, hmo_name)
+        lab = lab_table()
+        ssn, _first, _last, age, hba1c = lab.rows[0]
+        lab.rows[0] = (ssn, None, None, age, hba1c)
+        system = PrivateIye(linkage_attributes=("first", "last"))
+        system.load_policies(
+            POLICIES,
+            view_source={"hmo1_private": "HMO1", "lab1_private": "LAB1"},
+        )
+        system.add_relational_source("HMO1", hmo)
+        system.add_relational_source("LAB1", lab)
+        result = system.query(
+            "SELECT //patient/first, //patient/last, //patient/age "
+            "PURPOSE research",
+            requester="r1",
+        )
+        assert len(result.rows) == 100
+        assert result.duplicates_removed == 0
+        nameless = sorted(
+            (row["age"], row["_source"]) for row in result.rows
+            if row.get("first") is None and row.get("last") is None
+        )
+        assert nameless == [(25, "LAB1"), (30, "HMO1")]
+
     def test_no_dedup_without_linkage_attributes(self):
         system = build_system(linkage=())
         result = system.query(
